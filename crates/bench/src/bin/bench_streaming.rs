@@ -2,15 +2,13 @@
 //! end-to-end throughput for both detectors, written to
 //! `BENCH_streaming.json` so perf regressions show up as diffs.
 //!
-//! Three measurement tiers:
+//! Four measurement tiers:
 //!
-//! 1. **Kernel**: one representative pruned convolution timed under the
-//!    pre-PR spawn-per-call dispatch, the persistent worker pool, and the
-//!    pool plus packed sparse weights, at 1/2/4 threads.
+//! 1. **Kernel**: one representative pruned convolution timed with
+//!    per-call weight packing and with weights packed once, at 1/2/4
+//!    threads.
 //! 2. **Single stream**: frames/sec of one backbone stream through
-//!    `forward_into`, comparing the spawn-per-call + scan-per-call
-//!    baseline against the pool + packed-weights + reused-workspace path.
-//!    The `--threads 4` speedup is the PR's acceptance number.
+//!    `forward_into` over packed weights with a reused workspace.
 //! 3. **End-to-end**: deterministic `upaq-runtime` pipeline frames/sec per
 //!    detector across `threads × batch`.
 //! 4. **Per-stage breakdown**: mean latency of each serving stage —
@@ -18,11 +16,6 @@
 //!    LiDAR; candidate suppression for SMOKE) — on the steady-state packed
 //!    level-0 detector, after asserting the composed stages reproduce
 //!    `postprocess` bit for bit.
-//! 5. **Sparse backbone**: gather/scatter sparse-activation forward vs
-//!    the dense executor over every scenario catalog profile (empty
-//!    highway is the headline win; rush hour exercises the
-//!    density-threshold dense fallback), with full activation-map
-//!    bit-identity asserted per frame.
 //!
 //! Every configuration is also checked for bit-identical detections
 //! against a serial single-frame reference before any timing is trusted.
@@ -42,17 +35,15 @@ use upaq_json::{json, Value};
 use upaq_kitti::camera::CameraImage;
 use upaq_kitti::dataset::{Dataset, DatasetConfig};
 use upaq_kitti::lidar::PointCloud;
-use upaq_kitti::scenario;
 use upaq_kitti::stream::{FrameStream, SensorData};
 use upaq_models::detector::{CameraDetector, LidarDetector};
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
 use upaq_nn::exec::{forward_into, Workspace};
-use upaq_nn::sparse::{forward_sparse_into, SparseExecConfig};
 use upaq_nn::Model;
 use upaq_runtime::{Pipeline, PipelineConfig, SchedulerConfig, VariantLadder};
-use upaq_tensor::ops::{conv2d_into, conv2d_packed_into, Conv2dParams, ExecMode, TensorParallel};
+use upaq_tensor::ops::{conv2d_into, conv2d_packed_into, Conv2dParams, TensorParallel};
 use upaq_tensor::packed::PackedConv;
 use upaq_tensor::{Shape, Tensor};
 
@@ -152,12 +143,7 @@ fn kernel_bench(iters: usize) -> BenchResult<Vec<Value>> {
     let mut rows = Vec::new();
     for &threads in &THREAD_COUNTS {
         TensorParallel::set_threads(threads);
-        for (variant, mode, use_packed) in [
-            ("spawn_unpacked", ExecMode::SpawnPerCall, false),
-            ("pool_unpacked", ExecMode::Pool, false),
-            ("pool_packed", ExecMode::Pool, true),
-        ] {
-            TensorParallel::set_exec_mode(mode);
+        for (variant, use_packed) in [("unpacked", false), ("packed", true)] {
             let run = |out: &mut Tensor| -> BenchResult<()> {
                 if use_packed {
                     conv2d_packed_into(&input, &packed, Some(&bias), params, out)?;
@@ -192,7 +178,6 @@ fn kernel_bench(iters: usize) -> BenchResult<Vec<Value>> {
             }));
         }
     }
-    TensorParallel::set_exec_mode(ExecMode::Pool);
     TensorParallel::set_threads(1);
     Ok(rows)
 }
@@ -219,30 +204,7 @@ fn forward_fps(model: &Model, input_name: &str, tensors: &[Tensor], frames: usiz
     frames as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Frames/sec of the pre-PR steady state: `forward` allocates every
-/// activation afresh per frame (no reusable workspace existed), on top of
-/// whichever kernel dispatch mode the caller set.
-fn baseline_fps(model: &Model, input_name: &str, tensors: &[Tensor], frames: usize) -> f64 {
-    let mut inputs = HashMap::new();
-    inputs.insert(input_name.to_string(), tensors[0].clone());
-    for _ in 0..WARMUP_FRAMES {
-        upaq_nn::exec::forward(model, &inputs).expect("bench forward");
-    }
-    let start = Instant::now();
-    for i in 0..frames {
-        let src = &tensors[i % tensors.len()];
-        inputs
-            .get_mut(input_name)
-            .expect("input slot")
-            .as_mut_slice()
-            .copy_from_slice(src.as_slice());
-        upaq_nn::exec::forward(model, &inputs).expect("bench forward");
-    }
-    frames as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Tiers 2 and 3 plus the bit-identity gate for one detector. Returns the
-/// `--threads 4` single-stream speedup (the acceptance number).
+/// Tiers 2 and 3 plus the bit-identity gate for one detector.
 fn bench_detector<D>(
     label: &str,
     base: &D,
@@ -251,7 +213,7 @@ fn bench_detector<D>(
     single_rows: &mut Vec<Value>,
     e2e_rows: &mut Vec<Value>,
     identity_checks: &mut usize,
-) -> BenchResult<f64>
+) -> BenchResult<()>
 where
     D: StreamingDetector,
     D::Input: SensorData,
@@ -268,83 +230,63 @@ where
     let input_name = base.input_name();
 
     // --- Bit-identity gate: serial single-frame detections are the
-    // reference; every (threads, exec mode, packing, batch) combination
-    // must reproduce them exactly.
+    // reference; every (threads, packing, batch) combination must
+    // reproduce them exactly.
     TensorParallel::set_threads(1);
-    TensorParallel::set_exec_mode(ExecMode::Pool);
     let reference: Vec<Vec<Box3d>> = frames
         .iter()
         .map(|f| base.detect(f))
         .collect::<Result<_, _>>()?;
     for &threads in &THREAD_COUNTS {
         TensorParallel::set_threads(threads);
-        for mode in [ExecMode::SpawnPerCall, ExecMode::Pool] {
-            TensorParallel::set_exec_mode(mode);
-            for (det_label, boxes) in [
-                (
-                    "unpacked",
-                    frames
-                        .iter()
-                        .map(|f| base.detect(f))
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-                (
-                    "packed",
-                    frames
-                        .iter()
-                        .map(|f| packed_det.detect(f))
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-                ("batched", packed_det.detect_batch(&frames)?),
-            ] {
-                if boxes != reference {
-                    return Err(format!(
-                        "{label}: detections diverged from the serial reference at \
-                         threads={threads} mode={mode:?} path={det_label}"
-                    )
-                    .into());
-                }
-                *identity_checks += 1;
+        for (det_label, boxes) in [
+            (
+                "unpacked",
+                frames
+                    .iter()
+                    .map(|f| base.detect(f))
+                    .collect::<Result<Vec<_>, _>>()?,
+            ),
+            (
+                "packed",
+                frames
+                    .iter()
+                    .map(|f| packed_det.detect(f))
+                    .collect::<Result<Vec<_>, _>>()?,
+            ),
+            ("batched", packed_det.detect_batch(&frames)?),
+        ] {
+            if boxes != reference {
+                return Err(format!(
+                    "{label}: detections diverged from the serial reference at \
+                     threads={threads} path={det_label}"
+                )
+                .into());
             }
+            *identity_checks += 1;
         }
     }
 
-    // --- Single-stream throughput: baseline emulates the pre-PR runtime
-    // (spawn-per-call dispatch, per-call zero re-scan, fresh activation
-    // allocations every frame); "new" is the persistent pool over packed
+    // --- Single-stream throughput: the persistent pool over packed
     // weights with a reused workspace.
-    let mut speedup_at_4 = 0.0;
     for &threads in &THREAD_COUNTS {
         TensorParallel::set_threads(threads);
-        TensorParallel::set_exec_mode(ExecMode::SpawnPerCall);
-        let baseline_fps = baseline_fps(base.model(), input_name, &tensors, budget.stream_frames);
-        TensorParallel::set_exec_mode(ExecMode::Pool);
-        let new_fps = forward_fps(
+        let fps = forward_fps(
             packed_det.model(),
             input_name,
             &tensors,
             budget.stream_frames,
         );
-        let speedup = new_fps / baseline_fps;
-        if threads == 4 {
-            speedup_at_4 = speedup;
-        }
-        println!(
-            "  [{label}] single-stream t{threads}: baseline {baseline_fps:.1} fps, \
-             pool+packed {new_fps:.1} fps ({speedup:.2}×)"
-        );
+        println!("  [{label}] single-stream t{threads}: {fps:.1} fps");
         single_rows.push(json!({
             "detector": label,
             "threads": threads,
-            "baseline_fps": baseline_fps,
-            "fps": new_fps,
-            "speedup": speedup,
+            "fps": fps,
         }));
     }
 
     // --- End-to-end pipeline throughput (deterministic mode: lossless
     // queues, unpaced source, level-0 model — pure compute throughput).
-    TensorParallel::set_exec_mode(ExecMode::Pool);
     for &threads in &THREAD_COUNTS {
         TensorParallel::set_threads(threads);
         for &batch in &BATCH_SIZES {
@@ -384,122 +326,7 @@ where
         }
     }
     TensorParallel::set_threads(1);
-    Ok(speedup_at_4)
-}
-
-/// A preprocessed sparse-bench frame: named model inputs plus the
-/// matching active-site lists.
-type SparseFrame = (HashMap<String, Tensor>, HashMap<String, Vec<u32>>);
-
-/// Tier 5: gather/scatter sparse-activation backbone vs the dense
-/// executor, across the scenario catalog's traffic profiles. Empty
-/// highway is the headline win (a handful of active pillars); rush hour
-/// is the stress arm where the density-threshold fallback must keep the
-/// sparse path from losing ground. Every frame's full activation map is
-/// asserted raw-bits identical between the two executors before any
-/// timing is trusted.
-fn sparse_backbone_bench(frames_per_scenario: usize) -> BenchResult<Vec<Value>> {
-    // The paper-scale forward is ~half a second per frame; two dozen
-    // frames per arm bounds the tier at a couple of minutes while staying
-    // well clear of timer noise.
-    let frames_per_scenario = frames_per_scenario.min(24);
-    // Paper-scale backbone: the 32×32 pillar grid leaves the active set
-    // real dilation headroom (the tiny test grid saturates after one 3×3),
-    // and the 4.8 M-parameter stages are what sparsity actually has to
-    // speed up on device.
-    let mut det = PointPillars::build(&PointPillarsConfig::paper())?;
-    // Steady-state serving runs packed weights on both executors; without
-    // this the sparse path would re-pack every convolution per frame.
-    det.model.pack_weights();
-    let det = &det;
-    let cfg = SparseExecConfig::default();
-    TensorParallel::set_threads(4);
-    TensorParallel::set_exec_mode(ExecMode::Pool);
-    let mut rows = Vec::new();
-    for profile in scenario::catalog() {
-        let dataset = Dataset::generate(&profile.dataset, SEED);
-        let prepped: Vec<SparseFrame> = (0..dataset.scenes().len().min(4))
-            .map(|i| {
-                let cloud = <PointCloud as SensorData>::sample(&dataset, i);
-                let (tensor, sites) = det.preprocess_sparse(&cloud);
-                let mut inputs = HashMap::new();
-                inputs.insert(det.input_name.clone(), tensor);
-                let mut active = HashMap::new();
-                active.insert(
-                    det.input_name.clone(),
-                    sites.expect("lidar path always produces an active list"),
-                );
-                (inputs, active)
-            })
-            .collect();
-
-        // Identity gate + per-frame sparsity telemetry.
-        let mut mean_frac = 0.0;
-        let mut sparse_layers = 0usize;
-        let mut dense_ws = Workspace::new();
-        let mut sparse_ws = Workspace::new();
-        for (inputs, active) in &prepped {
-            forward_into(&det.model, inputs, &mut dense_ws)?;
-            let stats = forward_sparse_into(&det.model, inputs, active, &mut sparse_ws, &cfg)?;
-            mean_frac += stats.mean_active_frac();
-            sparse_layers = sparse_layers.max(stats.sparse_layers());
-            for (id, want) in dense_ws.activations() {
-                let got = &sparse_ws.activations()[id];
-                if want
-                    .as_slice()
-                    .iter()
-                    .zip(got.as_slice())
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    return Err(format!(
-                        "sparse backbone diverged from dense on scenario `{}` layer {id:?}",
-                        profile.name
-                    )
-                    .into());
-                }
-            }
-        }
-        mean_frac /= prepped.len() as f64;
-
-        let time_fps = |sparse: bool, ws: &mut Workspace| -> BenchResult<f64> {
-            for (inputs, active) in prepped.iter().cycle().take(WARMUP_FRAMES) {
-                if sparse {
-                    forward_sparse_into(&det.model, inputs, active, ws, &cfg)?;
-                } else {
-                    forward_into(&det.model, inputs, ws)?;
-                }
-            }
-            let start = Instant::now();
-            for i in 0..frames_per_scenario {
-                let (inputs, active) = &prepped[i % prepped.len()];
-                if sparse {
-                    forward_sparse_into(&det.model, inputs, active, ws, &cfg)?;
-                } else {
-                    forward_into(&det.model, inputs, ws)?;
-                }
-            }
-            Ok(frames_per_scenario as f64 / start.elapsed().as_secs_f64())
-        };
-        let dense_fps = time_fps(false, &mut dense_ws)?;
-        let sparse_fps = time_fps(true, &mut sparse_ws)?;
-        let speedup = sparse_fps / dense_fps;
-        println!(
-            "  [{}] backbone: dense {dense_fps:.1} fps, sparse {sparse_fps:.1} fps \
-             ({speedup:.2}×, mean active {:.1}%, {sparse_layers} sparse layers)",
-            profile.name,
-            mean_frac * 100.0
-        );
-        rows.push(json!({
-            "scenario": profile.name,
-            "dense_fps": dense_fps,
-            "sparse_fps": sparse_fps,
-            "speedup": speedup,
-            "mean_active_frac": mean_frac,
-            "sparse_layers": sparse_layers,
-        }));
-    }
-    TensorParallel::set_threads(1);
-    Ok(rows)
+    Ok(())
 }
 
 /// Times one stage closure over `iters` passes and returns mean ms/call.
@@ -703,7 +530,7 @@ fn main() -> BenchResult<()> {
 
     println!("PointPillars / LiDAR…");
     let lidar = PointPillars::build(&PointPillarsConfig::tiny())?;
-    let lidar_speedup = bench_detector(
+    bench_detector(
         "lidar",
         &lidar,
         &dataset_config(None),
@@ -716,7 +543,7 @@ fn main() -> BenchResult<()> {
     println!("SMOKE / camera…");
     let smoke_cfg = SmokeConfig::tiny();
     let camera = Smoke::build(&smoke_cfg)?;
-    let camera_speedup = bench_detector(
+    bench_detector(
         "camera",
         &camera,
         &dataset_config(Some(&smoke_cfg)),
@@ -745,19 +572,6 @@ fn main() -> BenchResult<()> {
         camera_stage_breakdown(&ladder.level(0).detector, &images, budget.stream_frames)?
     });
 
-    println!("Sparse-activation backbone vs dense across scenario profiles…");
-    let sparse_rows = sparse_backbone_bench(budget.stream_frames)?;
-    let sparse_speedup = |name: &str| {
-        sparse_rows
-            .iter()
-            .find(|r| r.get("scenario").and_then(Value::as_str) == Some(name))
-            .and_then(|r| r.get("speedup"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0)
-    };
-    let empty_highway_speedup = sparse_speedup("empty-highway");
-    let rush_hour_speedup = sparse_speedup("rush-hour");
-
     let report = json!({
         "schema": "upaq-bench-streaming/v1",
         "budget": json!({
@@ -769,24 +583,13 @@ fn main() -> BenchResult<()> {
         "single_stream": Value::Arr(single_rows),
         "e2e": Value::Arr(e2e_rows),
         "stage_breakdown": Value::Arr(stage_rows),
-        "sparse_backbone": Value::Arr(sparse_rows),
         "bit_identity": json!({
             "checked_configs": identity_checks,
             "identical": true,
         }),
-        "acceptance": json!({
-            "threads4_speedup_lidar": lidar_speedup,
-            "threads4_speedup_camera": camera_speedup,
-            "meets_1_5x": lidar_speedup >= 1.5 && camera_speedup >= 1.5,
-            "sparse_speedup_empty_highway": empty_highway_speedup,
-            "sparse_speedup_rush_hour": rush_hour_speedup,
-        }),
     });
     std::fs::write(&out_path, report.pretty())?;
-    println!(
-        "\nSpeedup at --threads 4: lidar {lidar_speedup:.2}×, camera {camera_speedup:.2}× \
-         ({identity_checks} bit-identity configs verified)"
-    );
+    println!("\n{identity_checks} bit-identity configs verified");
     println!("Saved to {out_path}");
     Ok(())
 }

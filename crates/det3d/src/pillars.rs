@@ -109,29 +109,6 @@ impl PillarConfig {
     }
 }
 
-/// Encodes a point cloud into a `[1, 12, cells_x, cells_y]` pseudo-image.
-///
-/// Channels: 0 normalized point count, 1 mean z, 2 max z, 3 z std-dev,
-/// 4 mean intensity, 5 mean x-offset from the cell centre, 6 mean y-offset,
-/// 7 occupancy flag, 8 normalized range of the cell centre (populated
-/// cells only), 9/10/11 the in-cell point-spread second moments (σ²ₓ,
-/// σ²ᵧ, σₓᵧ) — the local surface direction, which is what lets a per-cell
-/// head regress heading.
-///
-/// Every channel is exactly `0.0` at unpopulated cells — including the
-/// range channel, which is gated by occupancy — so the pseudo-image's
-/// active set is precisely the occupied-cell set and the sparse-activation
-/// execution path can treat everything else as constant background.
-///
-/// Signed quantities (channels 5/6 offsets and 11 covariance) are remapped
-/// into `[0, 1]` (0.5 = zero): the networks downstream start with a
-/// ReLU-ing 1×1 PFN, and signed features would lose their negative half at
-/// the first activation — destroying exactly the sub-cell localization
-/// signal the box regressor needs.
-pub fn pillarize(cloud: &PointCloud, config: &PillarConfig) -> Tensor {
-    pillarize_active(cloud, config).0
-}
-
 /// Per-point accumulation addends, precomputed in the parallel classify
 /// pass: `[z, z², intensity, dx, dy, dx², dy², dx·dy]`. The serial merge
 /// pass adds them to the per-cell accumulators in original point order, so
@@ -163,18 +140,33 @@ impl<T> SendMut<T> {
     }
 }
 
-/// [`pillarize`] plus the sorted active-site list (`cx * cells_y + cy`
-/// row-major linear indices of occupied cells) — the coordinate list the
-/// sparse-activation execution path threads through the backbone.
+/// Encodes a point cloud into a `[1, 12, cells_x, cells_y]` pseudo-image.
+///
+/// Channels: 0 normalized point count, 1 mean z, 2 max z, 3 z std-dev,
+/// 4 mean intensity, 5 mean x-offset from the cell centre, 6 mean y-offset,
+/// 7 occupancy flag, 8 normalized range of the cell centre (populated
+/// cells only), 9/10/11 the in-cell point-spread second moments (σ²ₓ,
+/// σ²ᵧ, σₓᵧ) — the local surface direction, which is what lets a per-cell
+/// head regress heading.
+///
+/// Every channel is exactly `0.0` at unpopulated cells — including the
+/// range channel, which is gated by occupancy — so an empty sweep encodes
+/// as the all-zero BEV.
+///
+/// Signed quantities (channels 5/6 offsets and 11 covariance) are remapped
+/// into `[0, 1]` (0.5 = zero): the networks downstream start with a
+/// ReLU-ing 1×1 PFN, and signed features would lose their negative half at
+/// the first activation — destroying exactly the sub-cell localization
+/// signal the box regressor needs.
 ///
 /// Work is distributed over the persistent tensor worker pool in three
 /// passes: a parallel per-point classify (cell index + accumulation
 /// addends), a serial merge in original point order, and a parallel
-/// per-cell finalize over disjoint cell chunks concatenated in
-/// deterministic order. Each pass either preserves the serial operation
-/// order or touches disjoint data, so the output is bit-identical to the
-/// serial encoder ([`pillarize_reference`]) at any thread count.
-pub fn pillarize_active(cloud: &PointCloud, config: &PillarConfig) -> (Tensor, Vec<u32>) {
+/// per-cell finalize over disjoint cell chunks. Each pass either preserves
+/// the serial operation order or touches disjoint data, so the output is
+/// bit-identical to the serial encoder ([`pillarize_reference`]) at any
+/// thread count.
+pub fn pillarize(cloud: &PointCloud, config: &PillarConfig) -> Tensor {
     let grid = &config.grid;
     let (h, w) = (grid.cells_x, grid.cells_y);
     let n_cells = h * w;
@@ -290,18 +282,12 @@ pub fn pillarize_active(cloud: &PointCloud, config: &PillarConfig) -> (Tensor, V
         }
     });
 
-    let active = count
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, &n)| (n > 0).then_some(idx as u32))
-        .collect();
-    let img = Tensor::from_vec(Shape::nchw(1, PILLAR_CHANNELS, h, w), data)
-        .expect("pillar buffer matches declared shape");
-    (img, active)
+    Tensor::from_vec(Shape::nchw(1, PILLAR_CHANNELS, h, w), data)
+        .expect("pillar buffer matches declared shape")
 }
 
 /// The single-pass serial pillar encoder, preserved verbatim as the
-/// bit-identity oracle for [`pillarize_active`]'s parallel passes.
+/// bit-identity oracle for [`pillarize`]'s parallel passes.
 #[doc(hidden)]
 pub fn pillarize_reference(cloud: &PointCloud, config: &PillarConfig) -> Tensor {
     let grid = &config.grid;
@@ -380,6 +366,7 @@ mod tests {
     use super::*;
     use upaq_kitti::dataset::{Dataset, DatasetConfig};
     use upaq_kitti::lidar::LidarPoint;
+    use upaq_tensor::ops::TensorParallel;
 
     fn cloud_of(points: Vec<LidarPoint>) -> PointCloud {
         PointCloud::from_points(points)
@@ -440,13 +427,11 @@ mod tests {
     #[test]
     fn empty_cells_have_zero_features() {
         let cfg = PillarConfig::kitti(8, 8);
-        let (img, active) = pillarize_active(&cloud_of(vec![]), &cfg);
-        // Every channel — including range (8) — is exactly zero at empty
-        // cells, so the active set is precisely the occupied-cell set.
+        let img = pillarize(&cloud_of(vec![]), &cfg);
+        // Every channel — including range (8) — is exactly zero at empty cells.
         for v in img.as_slice() {
             assert_eq!(v.to_bits(), 0.0f32.to_bits());
         }
-        assert!(active.is_empty());
     }
 
     #[test]
@@ -464,32 +449,27 @@ mod tests {
     }
 
     #[test]
-    fn active_sites_match_occupancy_channel() {
-        let dataset = Dataset::generate(&DatasetConfig::small(), 9);
-        let cfg = PillarConfig::kitti(32, 32);
-        for frame in 0..3 {
-            let (img, active) = pillarize_active(&dataset.lidar(frame), &cfg);
-            let expected: Vec<u32> = (0..32 * 32)
-                .filter(|&i| img.get(&[0, OCCUPANCY_CHANNEL, i / 32, i % 32]).unwrap() == 1.0)
-                .map(|i| i as u32)
-                .collect();
-            assert_eq!(active, expected);
-            assert!(active.windows(2).all(|p| p[0] < p[1]), "sorted");
-        }
-    }
-
-    #[test]
     fn parallel_pillarize_matches_serial_bit_exact() {
+        // CI's thread-sanity matrix sets `UPAQ_TEST_THREADS`; locally the
+        // default exercises the pool.
+        let threads = std::env::var("UPAQ_TEST_THREADS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(4);
         let dataset = Dataset::generate(&DatasetConfig::small(), 11);
         let cfg = PillarConfig::kitti(32, 32);
-        for frame in 0..4 {
-            let cloud = dataset.lidar(frame);
-            let par = pillarize(&cloud, &cfg);
-            let ser = pillarize_reference(&cloud, &cfg);
-            let a: Vec<u32> = par.as_slice().iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = ser.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "frame {frame}");
+        for t in [1, 2, threads] {
+            TensorParallel::set_threads(t);
+            for frame in 0..4 {
+                let cloud = dataset.lidar(frame);
+                let par = pillarize(&cloud, &cfg);
+                let ser = pillarize_reference(&cloud, &cfg);
+                let a: Vec<u32> = par.as_slice().iter().map(|v| v.to_bits()).collect();
+                let b: Vec<u32> = ser.as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(a, b, "frame {frame} at {t} threads");
+            }
         }
+        TensorParallel::set_threads(1);
     }
 
     #[test]

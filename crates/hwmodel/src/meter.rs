@@ -5,6 +5,11 @@
 //! streaming runtime charges that modeled cost to an [`EnergyMeter`] once
 //! per processed frame, keyed by the variant that actually ran — so a run
 //! that degrades under load shows its energy savings in the report.
+//!
+//! Savings against a reference cost (the full model's) are accumulated
+//! per frame as `reference − charged`, not as a difference of two float
+//! sums: a frame that ran at the reference cost adds exactly `0.0`, so a
+//! run that never degraded reports exactly zero savings.
 
 use std::collections::BTreeMap;
 
@@ -17,6 +22,10 @@ use std::collections::BTreeMap;
 pub struct EnergyMeter {
     per_variant: BTreeMap<String, VariantEnergy>,
     modality: Option<String>,
+    /// Per-frame reference cost savings are measured against, joules.
+    reference_j: Option<f64>,
+    /// Running sum of `reference_j − charged` over recorded frames.
+    saved_j: f64,
 }
 
 /// Energy totals for one model variant.
@@ -48,9 +57,17 @@ impl EnergyMeter {
     /// An empty meter labeled with the sensor modality it meters.
     pub fn for_modality(modality: &str) -> Self {
         EnergyMeter {
-            per_variant: BTreeMap::new(),
             modality: Some(modality.to_string()),
+            ..EnergyMeter::default()
         }
+    }
+
+    /// Measures savings against `per_frame_j` (e.g. the full model's
+    /// per-frame estimate): every frame recorded afterwards adds its
+    /// `per_frame_j − energy_j` delta to [`saved_j`][Self::saved_j].
+    pub fn with_reference(mut self, per_frame_j: f64) -> Self {
+        self.reference_j = Some(per_frame_j);
+        self
     }
 
     /// The sensor modality this meter was constructed for, when labeled.
@@ -63,6 +80,9 @@ impl EnergyMeter {
         let e = self.per_variant.entry(variant.to_string()).or_default();
         e.frames += 1;
         e.energy_j += energy_j;
+        if let Some(reference_j) = self.reference_j {
+            self.saved_j += reference_j - energy_j;
+        }
     }
 
     /// Total frames recorded across all variants.
@@ -91,22 +111,30 @@ impl EnergyMeter {
     }
 
     /// Modeled energy the same frames would have cost had every one run
-    /// at `per_frame_j` (e.g. the full model's per-frame estimate) —
-    /// the counterfactual an energy-saving scheduling policy is measured
-    /// against, joules.
-    pub fn counterfactual_energy_j(&self, per_frame_j: f64) -> f64 {
-        self.frames() as f64 * per_frame_j
+    /// at the reference cost — the counterfactual an energy-saving
+    /// scheduling policy is measured against, joules (`0` without a
+    /// reference).
+    pub fn counterfactual_energy_j(&self) -> f64 {
+        self.frames() as f64 * self.reference_j.unwrap_or(0.0)
     }
 
-    /// Fraction of the `per_frame_j` counterfactual this run saved, in
-    /// `[-inf, 1]`: `0` when every frame ran at that cost, positive when
-    /// cheaper variants carried load, `0` for an empty meter.
-    pub fn savings_vs(&self, per_frame_j: f64) -> f64 {
-        let counterfactual = self.counterfactual_energy_j(per_frame_j);
+    /// Modeled energy saved against the reference cost, joules: the sum
+    /// of the per-frame deltas, so exactly `0.0` when every frame ran at
+    /// the reference cost.
+    pub fn saved_j(&self) -> f64 {
+        self.saved_j
+    }
+
+    /// Fraction of the counterfactual this run saved, in `[-inf, 1]`:
+    /// exactly `0` when every frame ran at the reference cost, positive
+    /// when cheaper variants carried load, `0` for an empty meter or one
+    /// without a reference.
+    pub fn savings_frac(&self) -> f64 {
+        let counterfactual = self.counterfactual_energy_j();
         if counterfactual <= 0.0 {
             0.0
         } else {
-            1.0 - self.total_energy_j() / counterfactual
+            self.saved_j / counterfactual
         }
     }
 }
@@ -140,21 +168,46 @@ mod tests {
 
     #[test]
     fn savings_compare_against_the_always_base_counterfactual() {
-        let mut m = EnergyMeter::new();
+        let mut m = EnergyMeter::new().with_reference(2.0);
         m.record("base", 2.0);
         m.record("lck", 0.5);
         m.record("hck", 0.25);
         // Three frames at the base rate would have cost 6 J; the mixed run
         // cost 2.75 J, a 54.2% saving.
-        assert!((m.counterfactual_energy_j(2.0) - 6.0).abs() < 1e-12);
-        assert!((m.savings_vs(2.0) - (1.0 - 2.75 / 6.0)).abs() < 1e-12);
+        assert!((m.counterfactual_energy_j() - 6.0).abs() < 1e-12);
+        assert!((m.saved_j() - 3.25).abs() < 1e-12);
+        assert!((m.savings_frac() - (1.0 - 2.75 / 6.0)).abs() < 1e-12);
         // All-base running saves nothing against itself.
-        let mut all_base = EnergyMeter::new();
+        let mut all_base = EnergyMeter::new().with_reference(2.0);
         all_base.record("base", 2.0);
-        assert_eq!(all_base.savings_vs(2.0), 0.0);
+        assert_eq!(all_base.savings_frac(), 0.0);
         // Degenerate counterfactuals stay finite.
-        assert_eq!(EnergyMeter::new().savings_vs(2.0), 0.0);
-        assert_eq!(m.savings_vs(0.0), 0.0);
+        assert_eq!(EnergyMeter::new().with_reference(2.0).savings_frac(), 0.0);
+        let mut free = EnergyMeter::new().with_reference(0.0);
+        free.record("base", 0.0);
+        assert_eq!(free.savings_frac(), 0.0);
+        // No reference, no savings.
+        let mut unreferenced = EnergyMeter::new();
+        unreferenced.record("base", 2.0);
+        assert_eq!(unreferenced.saved_j(), 0.0);
+        assert_eq!(unreferenced.savings_frac(), 0.0);
+    }
+
+    #[test]
+    fn all_reference_run_saves_exactly_zero_despite_inexact_sums() {
+        // 0.1 J has no exact binary representation: ten of them summed
+        // land one ulp below ten times 0.1, so a difference of the two
+        // totals would report a spurious non-zero saving.
+        let (per_frame_j, frames) = (0.1, 10);
+        let summed: f64 = (0..frames).map(|_| per_frame_j).sum();
+        assert_ne!(summed, frames as f64 * per_frame_j, "case must be inexact");
+
+        let mut m = EnergyMeter::new().with_reference(per_frame_j);
+        for _ in 0..frames {
+            m.record("base", per_frame_j);
+        }
+        assert_eq!(m.saved_j().to_bits(), 0.0f64.to_bits());
+        assert_eq!(m.savings_frac().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -11,10 +11,10 @@ use upaq_tensor::{Shape, Tensor};
 /// The cached execution order for one model wiring: the derived graph and
 /// its topological order, keyed by [`Model::wiring_fingerprint`].
 #[derive(Debug)]
-pub(crate) struct Plan {
+struct Plan {
     fingerprint: u64,
-    pub(crate) graph: Graph,
-    pub(crate) order: Vec<LayerId>,
+    graph: Graph,
+    order: Vec<LayerId>,
 }
 
 impl Plan {
@@ -40,8 +40,8 @@ impl Plan {
 /// overwritten and the arithmetic path is shared.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    pub(crate) acts: HashMap<LayerId, Tensor>,
-    pub(crate) plan: Option<Plan>,
+    acts: HashMap<LayerId, Tensor>,
+    plan: Option<Plan>,
     last_fp: Option<u64>,
 }
 
@@ -65,7 +65,7 @@ impl Workspace {
     /// Drops buffers recycled from a different wiring — layer ids would
     /// otherwise alias across models and stale entries would linger in
     /// [`Workspace::activations`].
-    pub(crate) fn reset_if_rewired(&mut self, fingerprint: u64) {
+    fn reset_if_rewired(&mut self, fingerprint: u64) {
         if self.last_fp != Some(fingerprint) {
             self.acts.clear();
             self.last_fp = Some(fingerprint);
@@ -74,7 +74,7 @@ impl Workspace {
 
     /// The cached plan for `fingerprint`, moved out of the workspace so the
     /// caller can hold it while mutating `acts`. Put it back when done.
-    pub(crate) fn plan_for(&mut self, model: &Model, fingerprint: u64) -> Result<Plan> {
+    fn plan_for(&mut self, model: &Model, fingerprint: u64) -> Result<Plan> {
         match self.plan.take() {
             Some(p) if p.fingerprint == fingerprint => Ok(p),
             _ => Plan::build(model, fingerprint),
@@ -82,7 +82,7 @@ impl Workspace {
     }
 }
 
-pub(crate) fn missing(layer: &Layer, what: &'static str) -> NnError {
+fn missing(layer: &Layer, what: &'static str) -> NnError {
     NnError::MissingParams {
         layer: layer.name().to_string(),
         what,
@@ -165,7 +165,7 @@ fn reuse_or_zeros(recycled: Option<Tensor>, shape: &Shape) -> Tensor {
 /// the single arithmetic path shared by [`forward_into`] and
 /// [`forward_batch_into`], which is what makes serial and batched
 /// execution bit-identical per frame.
-pub(crate) fn eval_layer(
+fn eval_layer(
     layer: &Layer,
     in_ids: &[LayerId],
     acts: &HashMap<LayerId, Tensor>,

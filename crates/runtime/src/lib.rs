@@ -30,12 +30,10 @@ pub mod scheduler;
 pub mod variant;
 
 pub use metrics::{
-    BatchBucket, BatchStats, Counters, LatencyRecorder, LatencySummary, LayerSparsityReport,
-    RuntimeReport, SparsityAgg, SparsityReport, StageReport,
+    BatchBucket, BatchStats, Counters, LatencyRecorder, LatencySummary, RuntimeReport, StageReport,
 };
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError, StreamOutcome, SupervisionConfig};
 pub use proactive::{OverrideCounters, OverrideSnapshot, ProactiveConfig, ProactivePolicy};
 pub use queue::{BoundedQueue, PushOutcome};
 pub use scheduler::{Admission, DeadlineScheduler, GroupAdmission, SchedulerConfig};
-pub use upaq_nn::sparse::SparseExecConfig;
 pub use variant::{VariantLadder, VariantSpec};

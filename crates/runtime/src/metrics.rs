@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use upaq_json::{json, ToJson, Value};
-use upaq_nn::sparse::SparseStats;
 
 /// Collects latency samples and answers percentile queries.
 ///
@@ -226,137 +225,6 @@ impl BatchStats {
     }
 }
 
-/// Aggregates per-layer sparse-activation telemetry across a run's
-/// frames: how often each layer retained its sparse representation and
-/// at what mean active fraction — the observability half of the
-/// gather/scatter backbone.
-#[derive(Debug, Default)]
-pub struct SparsityAgg {
-    layers: Mutex<BTreeMap<String, LayerSparsityAgg>>,
-    /// Frames where at least one layer ran the gather kernel.
-    frames_sparse: AtomicU64,
-    /// Frames that fell back to dense on every layer (or carried no
-    /// active-site list at all).
-    frames_dense: AtomicU64,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct LayerSparsityAgg {
-    sum_frac: f64,
-    frames: u64,
-    sparse_frames: u64,
-}
-
-impl SparsityAgg {
-    /// An empty aggregator.
-    pub fn new() -> Self {
-        SparsityAgg::default()
-    }
-
-    /// Folds one frame's per-layer stats into the aggregate.
-    pub fn record(&self, stats: &SparseStats) {
-        if stats.sparse_layers() > 0 {
-            Counters::bump(&self.frames_sparse);
-        } else {
-            Counters::bump(&self.frames_dense);
-        }
-        let mut layers = self.layers.lock().unwrap();
-        for l in &stats.layers {
-            let agg = layers.entry(l.layer.clone()).or_default();
-            agg.sum_frac += l.active_frac;
-            agg.frames += 1;
-            if l.sparse {
-                agg.sparse_frames += 1;
-            }
-        }
-    }
-
-    /// Charges one frame that ran the purely-dense path (no active-site
-    /// list reached the backbone).
-    pub fn record_dense_frame(&self) {
-        Counters::bump(&self.frames_dense);
-    }
-
-    /// Snapshot for the run report.
-    pub fn report(&self) -> SparsityReport {
-        let layers: Vec<LayerSparsityReport> = self
-            .layers
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, agg)| LayerSparsityReport {
-                layer: name.clone(),
-                mean_active_frac: if agg.frames == 0 {
-                    0.0
-                } else {
-                    agg.sum_frac / agg.frames as f64
-                },
-                sparse_frames: agg.sparse_frames,
-                frames: agg.frames,
-            })
-            .collect();
-        let mean = if layers.is_empty() {
-            0.0
-        } else {
-            layers.iter().map(|l| l.mean_active_frac).sum::<f64>() / layers.len() as f64
-        };
-        SparsityReport {
-            frames_sparse: Counters::get(&self.frames_sparse),
-            frames_dense: Counters::get(&self.frames_dense),
-            mean_active_frac: mean,
-            layers,
-        }
-    }
-}
-
-/// Sparse-activation section of the run report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparsityReport {
-    /// Frames where at least one layer ran the gather kernel.
-    pub frames_sparse: u64,
-    /// Frames that ran fully dense (fallback or no sparse encoding).
-    pub frames_dense: u64,
-    /// Mean of the per-layer mean active fractions.
-    pub mean_active_frac: f64,
-    /// Per-layer aggregates, sorted by layer name.
-    pub layers: Vec<LayerSparsityReport>,
-}
-
-impl ToJson for SparsityReport {
-    fn to_json(&self) -> Value {
-        json!({
-            "frames_sparse": self.frames_sparse,
-            "frames_dense": self.frames_dense,
-            "mean_active_frac": self.mean_active_frac,
-            "layers": self.layers,
-        })
-    }
-}
-
-/// One layer's aggregated sparsity over a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerSparsityReport {
-    /// Layer name.
-    pub layer: String,
-    /// Mean active fraction of this layer's output map across frames.
-    pub mean_active_frac: f64,
-    /// Frames where this layer retained its sparse representation.
-    pub sparse_frames: u64,
-    /// Frames this layer executed.
-    pub frames: u64,
-}
-
-impl ToJson for LayerSparsityReport {
-    fn to_json(&self) -> Value {
-        json!({
-            "layer": self.layer,
-            "mean_active_frac": self.mean_active_frac,
-            "sparse_frames": self.sparse_frames,
-            "frames": self.frames,
-        })
-    }
-}
-
 /// One row of the batch-size histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchBucket {
@@ -492,9 +360,6 @@ pub struct RuntimeReport {
     pub energy_saved_vs_base_frac: f64,
     /// Override-rule counters when the proactive policy was active.
     pub overrides: Option<crate::proactive::OverrideSnapshot>,
-    /// Sparse-activation telemetry when the gather/scatter backbone was
-    /// enabled (`--sparse-act`); `None` on dense runs.
-    pub sparse_activation: Option<SparsityReport>,
 }
 
 impl ToJson for RuntimeReport {
@@ -528,7 +393,6 @@ impl ToJson for RuntimeReport {
             "energy_saved_vs_base_j": self.energy_saved_vs_base_j,
             "energy_saved_vs_base_frac": self.energy_saved_vs_base_frac,
             "overrides": self.overrides,
-            "sparse_activation": self.sparse_activation,
         })
     }
 }
@@ -645,17 +509,6 @@ mod tests {
                 headroom_fallback: 0,
                 vru_unfit: 0,
             }),
-            sparse_activation: Some(SparsityReport {
-                frames_sparse: 7,
-                frames_dense: 2,
-                mean_active_frac: 0.25,
-                layers: vec![LayerSparsityReport {
-                    layer: "backbone.conv1".into(),
-                    mean_active_frac: 0.25,
-                    sparse_frames: 7,
-                    frames: 9,
-                }],
-            }),
         };
         let v = report.to_json();
         assert_eq!(v.get("fps").and_then(|x| x.as_f64()), Some(9.0));
@@ -693,62 +546,6 @@ mod tests {
         let ov = v.get("overrides").unwrap();
         assert_eq!(ov.get("vru_floor").and_then(|x| x.as_f64()), Some(2.0));
         assert_eq!(ov.get("vru_unfit").and_then(|x| x.as_f64()), Some(0.0));
-        // Sparse-activation keys the CI sparse-identity/bench jobs consume.
-        let sp = v.get("sparse_activation").unwrap();
-        assert_eq!(sp.get("frames_sparse").and_then(|x| x.as_f64()), Some(7.0));
-        let sp_layers = sp.get("layers").and_then(|l| l.as_arr()).unwrap();
-        assert_eq!(
-            sp_layers[0].get("layer").and_then(|x| x.as_str()),
-            Some("backbone.conv1")
-        );
-        assert!(text.contains("mean_active_frac"));
-    }
-
-    #[test]
-    fn sparsity_agg_folds_frames_per_layer() {
-        use upaq_nn::sparse::LayerSparsity;
-        let agg = SparsityAgg::new();
-        agg.record(&SparseStats {
-            layers: vec![
-                LayerSparsity {
-                    layer: "c1".into(),
-                    active_frac: 0.2,
-                    sparse: true,
-                },
-                LayerSparsity {
-                    layer: "c2".into(),
-                    active_frac: 1.0,
-                    sparse: false,
-                },
-            ],
-        });
-        agg.record(&SparseStats {
-            layers: vec![
-                LayerSparsity {
-                    layer: "c1".into(),
-                    active_frac: 0.4,
-                    sparse: true,
-                },
-                LayerSparsity {
-                    layer: "c2".into(),
-                    active_frac: 1.0,
-                    sparse: false,
-                },
-            ],
-        });
-        // A frame whose every layer fell back to dense.
-        agg.record(&SparseStats { layers: Vec::new() });
-        agg.record_dense_frame();
-        let r = agg.report();
-        assert_eq!(r.frames_sparse, 2);
-        assert_eq!(r.frames_dense, 2);
-        assert_eq!(r.layers.len(), 2);
-        let c1 = &r.layers[0];
-        assert_eq!(c1.layer, "c1");
-        assert!((c1.mean_active_frac - 0.3).abs() < 1e-12);
-        assert_eq!(c1.sparse_frames, 2);
-        assert_eq!(c1.frames, 2);
-        assert!((r.mean_active_frac - (0.3 + 1.0) / 2.0).abs() < 1e-12);
     }
 
     #[test]

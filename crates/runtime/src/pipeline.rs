@@ -32,7 +32,7 @@
 //! integration tests assert for both modalities.
 
 use crate::metrics::{
-    BatchStats, Counters, LatencyRecorder, RuntimeReport, SparsityAgg, StageReport, VariantReport,
+    BatchStats, Counters, LatencyRecorder, RuntimeReport, StageReport, VariantReport,
 };
 use crate::proactive::{ProactiveConfig, ProactivePolicy};
 use crate::queue::{BoundedQueue, PushOutcome};
@@ -48,7 +48,6 @@ use upaq_kitti::faults::FaultPlan;
 use upaq_kitti::stream::{Frame, FrameStream, SensorData};
 use upaq_models::StreamingDetector;
 use upaq_nn::exec::{forward_batch_into, forward_into, Workspace};
-use upaq_nn::sparse::{forward_sparse_batch_into, forward_sparse_into, SparseExecConfig};
 use upaq_tensor::Tensor;
 
 /// Streaming-run configuration.
@@ -101,14 +100,6 @@ pub struct PipelineConfig {
     /// faults occur. `None` restores the unsupervised runtime, where a
     /// worker panic aborts the run with a [`PipelineError`].
     pub supervision: Option<SupervisionConfig>,
-    /// Sparse-activation execution ([`upaq_nn::sparse`]): thread the
-    /// pillarizer's active-site list through the backbone so conv layers
-    /// compute only reachable output sites, falling back to the dense
-    /// kernels per layer above the configured active-fraction threshold.
-    /// Bit-identical to the dense path by construction; `None` (the
-    /// default) keeps the historical always-dense execution. Detectors
-    /// without a sparse encoding (the camera path) run dense regardless.
-    pub sparse_act: Option<SparseExecConfig>,
     /// Label copied into the report.
     pub scenario: String,
 }
@@ -183,7 +174,6 @@ impl Default for PipelineConfig {
             proactive: None,
             faults: None,
             supervision: Some(SupervisionConfig::default()),
-            sparse_act: None,
             scenario: "nominal".into(),
         }
     }
@@ -205,9 +195,6 @@ struct PreJob<T> {
 struct BackboneJob<T> {
     frame: Frame<T>,
     input: Tensor,
-    /// Active BEV sites from the sparse preprocess encoding; `None` when
-    /// sparse execution is off or the detector has no sparse encoder.
-    sites: Option<Vec<u32>>,
     features: FrameComplexity,
     arrived: Instant,
 }
@@ -270,7 +257,6 @@ where
         let pre_timer = LatencyRecorder::new();
         let bb_timer = LatencyRecorder::new();
         let batch_stats = BatchStats::new();
-        let sparsity = SparsityAgg::new();
         let post_timer = LatencyRecorder::new();
         let e2e_timer = LatencyRecorder::new();
         let scheduler = DeadlineScheduler::new(ladder, cfg.scheduler);
@@ -282,7 +268,9 @@ where
             cfg.proactive.clone().map(ProactivePolicy::new)
         };
         let policy = policy.as_ref();
-        let meter = Mutex::new(EnergyMeter::for_modality(modality));
+        let meter = Mutex::new(
+            EnergyMeter::for_modality(modality).with_reference(ladder.level(0).estimate.energy_j),
+        );
         let results: Mutex<Vec<(u64, Vec<Box3d>)>> = Mutex::new(Vec::new());
 
         let started = Instant::now();
@@ -329,7 +317,6 @@ where
 
             // Preprocess: sensor sample → input tensor. Variant-independent,
             // so level 0's detector serves every frame.
-            let sparse_on = cfg.sparse_act.is_some();
             let pre = {
                 let (q_pre, q_bb, counters) = (&q_pre, &q_bb, &counters);
                 let (base, pre_timer) = (&ladder.level(0).detector, &pre_timer);
@@ -348,15 +335,7 @@ where
                             continue;
                         }
                         let t0 = Instant::now();
-                        // The sparse encoder produces the same tensor
-                        // bit-for-bit plus the active-site list; the dense
-                        // call is kept on the default path so sparse-off
-                        // runs are byte-identical to every prior release.
-                        let (input, sites) = if sparse_on {
-                            base.preprocess_sparse(&job.frame.data)
-                        } else {
-                            (base.preprocess(&job.frame.data), None)
-                        };
+                        let input = base.preprocess(&job.frame.data);
                         // Complexity features ride the tensor the stage
                         // just built — free signal for proactive admission.
                         let features = if policy.is_some() {
@@ -368,7 +347,6 @@ where
                         let next = BackboneJob {
                             frame: job.frame,
                             input,
-                            sites,
                             features,
                             arrived: job.arrived,
                         };
@@ -386,7 +364,6 @@ where
                 .map(|_| {
                     let (q_bb, q_post, counters) = (&q_bb, &q_post, &counters);
                     let (scheduler, bb_timer, batch_stats) = (&scheduler, &bb_timer, &batch_stats);
-                    let (sparse_cfg, sparsity) = (cfg.sparse_act, &sparsity);
                     let slow_s = cfg.slow_backbone_s;
                     s.spawn(move || {
                         let _close_up = CloseOnUnwind(q_bb);
@@ -440,15 +417,11 @@ where
                                             .unwrap_or_default();
                                         let variant = ladder.level(level);
                                         let t0 = Instant::now();
-                                        let name = variant.detector.input_name().to_string();
-                                        let mut active = HashMap::new();
-                                        if sparse_cfg.is_some() {
-                                            if let Some(sites) = job.sites {
-                                                active.insert(name.clone(), sites);
-                                            }
-                                        }
                                         let mut inputs = HashMap::new();
-                                        inputs.insert(name, job.input);
+                                        inputs.insert(
+                                            variant.detector.input_name().to_string(),
+                                            job.input,
+                                        );
                                         let fwd = guarded(isolate, || {
                                             if ff.panic {
                                                 panic!(
@@ -456,22 +429,7 @@ where
                                                     job.frame.id
                                                 );
                                             }
-                                            match &sparse_cfg {
-                                                Some(scfg) => forward_sparse_into(
-                                                    variant.detector.model(),
-                                                    &inputs,
-                                                    &active,
-                                                    &mut ws,
-                                                    scfg,
-                                                )
-                                                .map(Some),
-                                                None => forward_into(
-                                                    variant.detector.model(),
-                                                    &inputs,
-                                                    &mut ws,
-                                                )
-                                                .map(|_| None),
-                                            }
+                                            forward_into(variant.detector.model(), &inputs, &mut ws)
                                         });
                                         let fwd = match fwd {
                                             Err(_panic) => {
@@ -487,15 +445,9 @@ where
                                             }
                                             Ok(result) => result,
                                         };
-                                        let stats = match fwd {
-                                            Err(_) => {
-                                                Counters::bump(&counters.failed);
-                                                continue;
-                                            }
-                                            Ok(stats) => stats,
-                                        };
-                                        if let Some(stats) = &stats {
-                                            sparsity.record(stats);
+                                        if fwd.is_err() {
+                                            Counters::bump(&counters.failed);
+                                            continue;
                                         }
                                         let head_out = ws.activations()[&variant.head].clone();
                                         let extra_s = slow_s + ff.spike_s;
@@ -541,7 +493,6 @@ where
                                                 isolate,
                                                 watchdog_s,
                                             },
-                                            sparse_cfg.map(|scfg| (scfg, sparsity)),
                                         );
                                         if let Some(dt) = dt {
                                             bb_timer.record(dt);
@@ -662,7 +613,6 @@ where
             })
             .collect();
 
-        let base_energy_j = ladder.level(0).estimate.energy_j;
         let report = RuntimeReport {
             scenario: cfg.scenario.clone(),
             policy: if deterministic {
@@ -699,11 +649,9 @@ where
             variants,
             total_energy_j: meter.total_energy_j(),
             energy_per_frame_j: meter.mean_energy_j(),
-            energy_saved_vs_base_j: meter.counterfactual_energy_j(base_energy_j)
-                - meter.total_energy_j(),
-            energy_saved_vs_base_frac: meter.savings_vs(base_energy_j),
+            energy_saved_vs_base_j: meter.saved_j(),
+            energy_saved_vs_base_frac: meter.savings_frac(),
             overrides: policy.map(|p| p.overrides()),
-            sparse_activation: cfg.sparse_act.map(|_| sparsity.report()),
         };
         debug_assert!(counters.accounted(), "pipeline lost track of a frame");
         Ok(StreamOutcome { report, detections })
@@ -786,7 +734,6 @@ fn run_batch<D: StreamingDetector>(
     q_post: &BoundedQueue<PostJob<D::Input>>,
     counters: &Counters,
     sup: Supervised<'_>,
-    sparse: Option<(SparseExecConfig, &SparsityAgg)>,
 ) -> Option<f64> {
     let t0 = Instant::now();
     let k = jobs.len();
@@ -802,33 +749,18 @@ fn run_batch<D: StreamingDetector>(
     let mut frames = Vec::with_capacity(k);
     let mut arrivals = Vec::with_capacity(k);
     let mut inputs = Vec::with_capacity(k);
-    let mut actives = Vec::with_capacity(k);
     for job in jobs {
         frames.push(job.frame);
         arrivals.push(job.arrived);
-        let name = variant.detector.input_name().to_string();
-        let mut act = HashMap::new();
-        if sparse.is_some() {
-            if let Some(sites) = job.sites {
-                act.insert(name.clone(), sites);
-            }
-        }
-        actives.push(act);
         let mut map = HashMap::new();
-        map.insert(name, job.input);
+        map.insert(variant.detector.input_name().to_string(), job.input);
         inputs.push(map);
     }
     let fwd = guarded(sup.isolate, || {
         if inject_panic {
             panic!("injected backbone fault (batch of {k})");
         }
-        match &sparse {
-            Some((scfg, _)) => {
-                forward_sparse_batch_into(variant.detector.model(), &inputs, &actives, wss, scfg)
-                    .map(Some)
-            }
-            None => forward_batch_into(variant.detector.model(), &inputs, wss).map(|_| None),
-        }
+        forward_batch_into(variant.detector.model(), &inputs, wss)
     });
     let fwd = match fwd {
         Err(_panic) => {
@@ -843,22 +775,13 @@ fn run_batch<D: StreamingDetector>(
         }
         Ok(result) => result,
     };
-    let stats = match fwd {
-        Err(_) => {
-            // One failed invocation covers the whole group: every member
-            // frame failed, none reached postprocess, none is degraded or
-            // dropped.
-            for _ in 0..k {
-                Counters::bump(&counters.failed);
-            }
-            return None;
+    if fwd.is_err() {
+        // One failed invocation covers the whole group: every member frame
+        // failed, none reached postprocess, none is degraded or dropped.
+        for _ in 0..k {
+            Counters::bump(&counters.failed);
         }
-        Ok(stats) => stats,
-    };
-    if let (Some((_, agg)), Some(per_frame)) = (&sparse, &stats) {
-        for st in per_frame {
-            agg.record(st);
-        }
+        return None;
     }
     let extra_s = slow_s + spike_s;
     if extra_s > 0.0 {
@@ -1111,7 +1034,6 @@ mod tests {
                 BackboneJob {
                     frame,
                     input,
-                    sites: None,
                     features: FrameComplexity::default(),
                     arrived: Instant::now(),
                 }
@@ -1130,7 +1052,6 @@ mod tests {
             &q_post,
             &counters,
             UNSUPERVISED,
-            None,
         );
         assert!(dt.is_none(), "poisoned batch must report failure");
         assert_eq!(Counters::get(&counters.failed), 3);
@@ -1159,7 +1080,6 @@ mod tests {
                 BackboneJob {
                     frame,
                     input,
-                    sites: None,
                     features: FrameComplexity::default(),
                     arrived: Instant::now(),
                 }
@@ -1175,7 +1095,6 @@ mod tests {
             &q_post,
             &counters,
             UNSUPERVISED,
-            None,
         );
         assert!(dt.is_some());
         assert_eq!(q_post.len(), 3);

@@ -2,13 +2,12 @@
 //!
 //! The proactive policy's rung choice is a pure function of
 //! [`FrameComplexity`], so feature extraction must be raw-bits identical
-//! however the tensor runtime happens to execute: worker-pool or
-//! spawn-per-call mode, any thread count, any batch grouping of the
-//! surrounding frames. A single flipped mantissa bit here could flip a
-//! rung decision and break run-to-run determinism, which is exactly the
-//! regression this file pins (same naive-oracle pattern as the det3d
-//! decode proptests: one reference sample, then exhaustive re-extraction
-//! under every execution configuration).
+//! however the tensor runtime happens to execute: any thread count, any
+//! batch grouping of the surrounding frames. A single flipped mantissa
+//! bit here could flip a rung decision and break run-to-run determinism,
+//! which is exactly the regression this file pins (same naive-oracle
+//! pattern as the det3d decode proptests: one reference sample, then
+//! exhaustive re-extraction under every execution configuration).
 
 use upaq_det3d::FrameComplexity;
 use upaq_kitti::dataset::Dataset;
@@ -16,7 +15,7 @@ use upaq_kitti::scenario;
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
-use upaq_tensor::ops::{ExecMode, TensorParallel};
+use upaq_tensor::ops::TensorParallel;
 
 fn test_threads() -> usize {
     std::env::var("UPAQ_TEST_THREADS")
@@ -44,25 +43,20 @@ fn extract<D: StreamingDetector>(det: &D, inputs: &[D::Input], chunk: usize) -> 
 }
 
 fn assert_stable<D: StreamingDetector>(det: &D, inputs: &[D::Input], label: &str) {
-    TensorParallel::set_exec_mode(ExecMode::Pool);
     TensorParallel::set_threads(1);
     let reference = extract(det, inputs, 1);
     assert_eq!(reference.len(), inputs.len());
 
-    for &mode in &[ExecMode::Pool, ExecMode::SpawnPerCall] {
-        TensorParallel::set_exec_mode(mode);
-        for &threads in &[1, 2, test_threads()] {
-            TensorParallel::set_threads(threads);
-            for &chunk in &[1usize, 2, 4] {
-                let got = extract(det, inputs, chunk);
-                assert_eq!(
-                    got, reference,
-                    "{label}: features diverged under {mode:?} t{threads} chunk {chunk}"
-                );
-            }
+    for &threads in &[1, 2, test_threads()] {
+        TensorParallel::set_threads(threads);
+        for &chunk in &[1usize, 2, 4] {
+            let got = extract(det, inputs, chunk);
+            assert_eq!(
+                got, reference,
+                "{label}: features diverged at t{threads} chunk {chunk}"
+            );
         }
     }
-    TensorParallel::set_exec_mode(ExecMode::Pool);
     TensorParallel::set_threads(test_threads());
 }
 

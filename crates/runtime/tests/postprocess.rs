@@ -6,19 +6,23 @@
 //! both detector ladders must produce raw-bits-identical candidates to the
 //! serial sigmoid-domain oracle at every thread count, and a deterministic
 //! pipeline run must not change a single bit when postprocess fans out
-//! over multiple workers.
+//! over multiple workers. The empty-scene gate is pinned here too: a
+//! zero-point sweep encodes as the all-zero BEV and detects nothing.
 
+use std::collections::HashMap;
 use upaq_det3d::{
     decode_camera_candidates, decode_camera_candidates_reference, decode_candidates,
     decode_candidates_reference, Box3d,
 };
 use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::dataset::DatasetConfig;
+use upaq_kitti::lidar::PointCloud;
 use upaq_kitti::stream::{CameraFrameStream, FrameStream};
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::smoke::{Smoke, SmokeConfig};
-use upaq_models::{CameraDetector, LidarDetector};
-use upaq_runtime::{Pipeline, PipelineConfig, VariantLadder};
+use upaq_models::{CameraDetector, LidarDetector, StreamingDetector};
+use upaq_nn::exec::{forward_into, Workspace};
+use upaq_runtime::{Pipeline, PipelineConfig, SupervisionConfig, VariantLadder};
 use upaq_tensor::ops::TensorParallel;
 
 fn test_threads() -> usize {
@@ -151,4 +155,74 @@ fn multi_worker_postprocess_matches_single_worker_bitwise() {
         }
     }
     TensorParallel::set_threads(1);
+}
+
+/// A stream whose every scene produces zero LiDAR points.
+fn empty_stream() -> FrameStream {
+    let mut cfg = DatasetConfig::small();
+    cfg.scenes = 1;
+    cfg.scene.cars = (0, 0);
+    cfg.scene.pedestrians = (0, 0);
+    cfg.scene.cyclists = (0, 0);
+    cfg.lidar.ground_points = 0;
+    cfg.lidar.clutter_points = 0;
+    FrameStream::generate(&cfg, 7)
+}
+
+/// Empty-scene regression: zero points must encode as a well-formed
+/// all-zero BEV, run through the backbone, and produce empty detections.
+#[test]
+fn empty_scene_flows_through_the_backbone() {
+    let ladder = lidar_ladder();
+    let det = &ladder.level(0).detector;
+    let empty = PointCloud::from_points(Vec::new());
+    assert_eq!(empty.len(), 0);
+
+    let input = det.preprocess(&empty);
+    assert!(
+        input.as_slice().iter().all(|v| v.to_bits() == 0),
+        "empty scene must encode as the all-zero BEV"
+    );
+
+    let mut inputs = HashMap::new();
+    inputs.insert(det.input_name().to_string(), input);
+    let mut ws = Workspace::new();
+    forward_into(det.model(), &inputs, &mut ws).unwrap();
+    let head = &ws.activations()[&ladder.level(0).head];
+    assert!(
+        det.postprocess(head, &empty).is_empty(),
+        "an empty scene must detect nothing"
+    );
+}
+
+/// Empty-scene frames inside a full pipeline run complete without
+/// panicking and detect nothing.
+#[test]
+fn empty_scene_pipeline_run_never_panics() {
+    // The empty dataset really produces zero-point clouds.
+    let probe = empty_stream().next().unwrap();
+    assert_eq!(probe.data.len(), 0, "empty scenario must have no points");
+    let p = Pipeline::new(
+        lidar_ladder(),
+        PipelineConfig {
+            frames: 2,
+            deterministic: true,
+            // The admission firewall deliberately quarantines empty
+            // frames as defective; disable it so the zero-point scene
+            // actually reaches the numeric stages this test covers.
+            supervision: Some(SupervisionConfig {
+                firewall: false,
+                ..SupervisionConfig::default()
+            }),
+            scenario: "empty-scene".into(),
+            ..PipelineConfig::default()
+        },
+    );
+    let outcome = p
+        .run(empty_stream())
+        .expect("empty scenes must not abort the run");
+    assert_eq!(outcome.report.frames_completed, 2);
+    for (_, dets) in &outcome.detections {
+        assert!(dets.is_empty(), "an empty scene must detect nothing");
+    }
 }

@@ -104,9 +104,6 @@ pub struct FleetReport {
     pub energy_saved_vs_base_frac: f64,
     /// Override-rule counters when the proactive policy was active.
     pub overrides: Option<upaq_runtime::proactive::OverrideSnapshot>,
-    /// Sparse-activation telemetry when the gather/scatter backbone was
-    /// enabled (`--sparse-act`); `None` on dense runs.
-    pub sparse_activation: Option<upaq_runtime::SparsityReport>,
     /// Frames delivered per ladder rung, in ladder order.
     pub rungs: Vec<RungFrames>,
     /// Jain fairness index over per-stream delivered fractions.
@@ -206,7 +203,6 @@ impl ToJson for FleetReport {
             "energy_saved_vs_base_j": self.energy_saved_vs_base_j,
             "energy_saved_vs_base_frac": self.energy_saved_vs_base_frac,
             "overrides": self.overrides,
-            "sparse_activation": self.sparse_activation,
             "rungs": self.rungs,
             "fairness_jain": self.fairness_jain,
             "per_stream": self.per_stream,
@@ -279,7 +275,6 @@ mod tests {
             energy_per_frame_j: 0.2,
             energy_saved_vs_base_j: 0.6,
             energy_saved_vs_base_frac: 1.0 / 3.0,
-            sparse_activation: None,
             overrides: Some(upaq_runtime::proactive::OverrideSnapshot {
                 vru_floor: 1,
                 deadline_clamp: 0,

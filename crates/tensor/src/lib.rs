@@ -1,4 +1,4 @@
-//! Dense, quantized, and sparsity-aware tensors for the UPAQ reproduction.
+//! Dense and quantized tensors for the UPAQ reproduction.
 //!
 //! This crate is the numeric substrate underneath every other crate in the
 //! workspace. It provides:
@@ -15,7 +15,7 @@
 //!   built once from the pruned weights so steady-state kernels stop
 //!   re-scanning for zeros;
 //! * [`ops`] — convolution, linear, pooling, normalization and activation
-//!   kernels, each with a dense path and a sparsity/bitwidth-aware path.
+//!   kernels; convolutions skip pruned (zero) weights.
 //!
 //! # Example
 //!
@@ -38,11 +38,9 @@ pub mod ops;
 pub mod packed;
 pub mod quant;
 pub mod sparse;
-pub mod sparse_act;
 
 pub use error::TensorError;
 pub use shape::Shape;
-pub use sparse_act::SparseActivation;
 pub use tensor::Tensor;
 
 /// Convenience result alias used throughout the crate.

@@ -1,6 +1,6 @@
-//! 2-D convolution with sparsity-aware inner loops.
+//! 2-D convolution over packed non-zero weight taps.
 
-use super::parallel::{parallel_for_chunks, ExecMode, SendPtr, TensorParallel};
+use super::parallel::{parallel_for_chunks, SendPtr};
 use crate::packed::PackedConv;
 use crate::{Result, Shape, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
@@ -65,14 +65,8 @@ pub fn conv2d(
     params: Conv2dParams,
 ) -> Result<Tensor> {
     let (out_c, oh, ow) = conv2d_out_dims(input, weights, bias, params)?;
-    // The zeroed buffer is load-bearing only for the reference branch,
-    // which accumulates; the packed kernel writes every element.
     let mut out = Tensor::zeros(Shape::nchw(1, out_c, oh, ow));
     let ishape = input.shape();
-    if TensorParallel::exec_mode() == ExecMode::SpawnPerCall {
-        conv2d_reference_accumulate(input, weights, bias, params, (oh, ow), out.as_mut_slice());
-        return Ok(out);
-    }
     let packed = PackedConv::pack(weights)?;
     conv2d_accumulate(
         input.as_slice(),
@@ -240,12 +234,10 @@ pub(super) fn conv2d_channel(
 
 /// One output site of the convolution, boundary-checked: per input
 /// channel, the packed taps accumulate in row-major kernel order into a
-/// local sum, and the per-channel sums join in channel order — the exact
-/// sequence every dense path (reference, border, interior fast path)
-/// uses. The sparse-activation gather kernel calls this for each active
-/// output site, which is what makes sparse and dense execution
-/// bit-identical. Bias is excluded; callers apply [`finish_bias`].
-pub(super) fn conv2d_site(
+/// local sum, and the per-channel sums join in channel order — the same
+/// sequence the interior fast path uses. Bias is excluded; callers apply
+/// [`finish_bias`].
+fn conv2d_site(
     oc: usize,
     idata: &[f32],
     packed: &PackedConv,
@@ -287,7 +279,7 @@ pub(super) fn conv2d_site(
 /// Matching the historical order exactly: bias joins the sum last, and a
 /// zero bias performs no add at all (preserving even the sign of a
 /// negative-zero total).
-pub(super) fn finish_bias(total: f32, bias_v: f32) -> f32 {
+fn finish_bias(total: f32, bias_v: f32) -> f32 {
     if bias_v != 0.0 {
         total + bias_v
     } else {
@@ -299,13 +291,7 @@ pub(super) fn finish_bias(total: f32, bias_v: f32) -> f32 {
 /// size `k` stays fully inside the unpadded input of size `i` — i.e.
 /// `o * stride - pad >= 0` and `o * stride - pad + k <= i` for every
 /// output coordinate `o` in the range.
-pub(super) fn interior_range(
-    out: usize,
-    i: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> (usize, usize) {
+fn interior_range(out: usize, i: usize, k: usize, stride: usize, pad: usize) -> (usize, usize) {
     let lo = pad.div_ceil(stride).min(out);
     let hi = if i + pad >= k {
         ((i + pad - k) / stride + 1).min(out)
@@ -315,107 +301,7 @@ pub(super) fn interior_range(
     (lo, hi.max(lo))
 }
 
-/// The pre-pool convolution, preserved verbatim: per-call tap extraction
-/// (one `Vec` allocation per `(oc, ic)` kernel, every call) followed by
-/// the boundary-checked loop on every pixel. [`conv2d`] and
-/// [`conv2d_into`] dispatch here under [`ExecMode::SpawnPerCall`], so the
-/// baseline mode measures the full historical path — spawn dispatch,
-/// per-call weight scan, and the unsplit inner loop — while remaining
-/// bit-identical to the packed kernel (same taps, same order, same local
-/// accumulator). The bit-identity suites rely on it as the naive oracle.
-fn conv2d_reference_channel(
-    oc: usize,
-    idata: &[f32],
-    wdata: &[f32],
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    dims: (usize, usize, usize, usize, usize, usize, usize),
-    ochan: &mut [f32],
-) {
-    let (in_c, h, w, kh, kw, oh, ow) = dims;
-    let bias_v = bias.map_or(0.0, |b| b.as_slice()[oc]);
-    for ic in 0..in_c {
-        let kbase = ((oc * in_c) + ic) * kh * kw;
-        let mut taps: Vec<(usize, usize, f32)> = Vec::with_capacity(kh * kw);
-        for r in 0..kh {
-            for c in 0..kw {
-                let v = wdata[kbase + r * kw + c];
-                if v != 0.0 {
-                    taps.push((r, c, v));
-                }
-            }
-        }
-        if taps.is_empty() {
-            continue;
-        }
-        let ibase = ic * h * w;
-        for oy in 0..oh {
-            let iy0 = oy * params.stride;
-            for ox in 0..ow {
-                let ix0 = ox * params.stride;
-                let mut acc = 0.0f32;
-                for &(r, c, wv) in &taps {
-                    let iy = iy0 + r;
-                    let ix = ix0 + c;
-                    // Padding: translate to unpadded coordinates.
-                    if iy < params.padding || ix < params.padding {
-                        continue;
-                    }
-                    let iy = iy - params.padding;
-                    let ix = ix - params.padding;
-                    if iy >= h || ix >= w {
-                        continue;
-                    }
-                    acc += wv * idata[ibase + iy * w + ix];
-                }
-                ochan[oy * ow + ox] += acc;
-            }
-        }
-    }
-    if bias_v != 0.0 {
-        for v in ochan {
-            *v += bias_v;
-        }
-    }
-}
-
-/// Distributes [`conv2d_reference_channel`] over output channels, exactly
-/// as the pre-pool implementation did. `input` and `weights` are the full
-/// rank-4 tensors (already validated by the caller).
-fn conv2d_reference_accumulate(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    out_hw: (usize, usize),
-    odata: &mut [f32],
-) {
-    let (oh, ow) = out_hw;
-    let chan = oh * ow;
-    if chan == 0 {
-        return;
-    }
-    let (ishape, wshape) = (input.shape(), weights.shape());
-    let dims = (
-        ishape.dim(1),
-        ishape.dim(2),
-        ishape.dim(3),
-        wshape.dim(2),
-        wshape.dim(3),
-        oh,
-        ow,
-    );
-    let (idata, wdata) = (input.as_slice(), weights.as_slice());
-    let base = SendPtr(odata.as_mut_ptr());
-    parallel_for_chunks(wshape.dim(0), move |oc| {
-        // SAFETY: identical disjoint-slice argument as `conv2d_accumulate`.
-        let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
-        conv2d_reference_channel(oc, idata, wdata, bias, params, dims, ochan);
-    });
-}
-
-/// Accumulates the convolution of `idata` with `packed` into `odata`
-/// (which the caller has already zeroed or freshly allocated),
+/// Writes the convolution of `idata` with `packed` into `odata`,
 /// distributing output channels over worker threads via
 /// [`parallel_for_chunks`].
 fn conv2d_accumulate(
@@ -487,8 +373,7 @@ pub(super) fn conv2d_packed_dims(
 ///
 /// When [`TensorParallel`][crate::ops::TensorParallel] is configured with
 /// more than one thread, output channels are distributed over the worker
-/// pool (or per-call spawned threads, depending on
-/// [`ExecMode`][crate::ops::ExecMode]). Each channel's slice is disjoint
+/// pool. Each channel's slice is disjoint
 /// and its arithmetic order unchanged, so results are bit-identical to
 /// serial execution.
 ///
@@ -503,20 +388,7 @@ pub fn conv2d_into(
     params: Conv2dParams,
     out: &mut Tensor,
 ) -> Result<()> {
-    let (out_c, oh, ow) = conv2d_out_dims(input, weights, bias, params)?;
-    if TensorParallel::exec_mode() == ExecMode::SpawnPerCall {
-        let expected = [1, out_c, oh, ow];
-        if out.shape().dims() != expected {
-            return Err(TensorError::ShapeMismatch {
-                left: expected.to_vec(),
-                right: out.shape().dims().to_vec(),
-            });
-        }
-        let odata = out.as_mut_slice();
-        odata.fill(0.0);
-        conv2d_reference_accumulate(input, weights, bias, params, (oh, ow), odata);
-        return Ok(());
-    }
+    conv2d_out_dims(input, weights, bias, params)?;
     let packed = PackedConv::pack(weights)?;
     conv2d_packed_into(input, &packed, bias, params, out)
 }

@@ -3,18 +3,16 @@
 //! The pattern pruner fixes each kernel's zero structure at compression
 //! time, yet the direct conv kernels historically re-scanned the dense
 //! weight tensor for non-zero taps on **every** invocation. Packing hoists
-//! that scan out of the per-frame loop: [`PackedConv`] (and its int-domain
-//! twin [`PackedQuantConv`]) stores, per `(out_c, in_c)` kernel, the list
-//! of surviving taps `(row, col, value)` in the exact row-major order the
-//! dense scan produced — so a kernel consuming the packed form performs
-//! bit-identical arithmetic to one scanning the dense tensor, while
-//! touching only the non-zero weights.
+//! that scan out of the per-frame loop: [`PackedConv`] stores, per
+//! `(out_c, in_c)` kernel, the list of surviving taps `(row, col, value)`
+//! in the exact row-major order the dense scan produced — so a kernel
+//! consuming the packed form performs bit-identical arithmetic to one
+//! scanning the dense tensor, while touching only the non-zero weights.
 //!
 //! Packing is built once (when a model variant is constructed) and shared
 //! immutably afterwards; mutating a layer's weights must invalidate its
 //! pack.
 
-use crate::quant::QuantizedTensor;
 use crate::{Result, Shape, TensorError};
 
 /// One surviving weight tap: kernel row, kernel column, value.
@@ -28,7 +26,7 @@ pub struct Tap<V> {
     pub r: u16,
     /// Kernel column.
     pub c: u16,
-    /// Weight value (f32 for dense weights, i64 code for quantized).
+    /// Weight value.
     pub v: V,
 }
 
@@ -47,55 +45,6 @@ pub struct PackedTaps<V> {
 }
 
 impl<V: Copy> PackedTaps<V> {
-    fn from_dense<T: Copy>(
-        shape: &Shape,
-        data: &[T],
-        is_zero: impl Fn(T) -> bool,
-        to_value: impl Fn(T) -> V,
-    ) -> Result<Self> {
-        if shape.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: shape.rank(),
-            });
-        }
-        let (out_c, in_c, kh, kw) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
-        if kh > u16::MAX as usize || kw > u16::MAX as usize {
-            return Err(TensorError::Invalid(format!(
-                "cannot pack {kh}x{kw} kernels (max 65535 per axis)"
-            )));
-        }
-        let mut offsets = Vec::with_capacity(out_c * in_c + 1);
-        let mut taps = Vec::new();
-        offsets.push(0);
-        for oc in 0..out_c {
-            for ic in 0..in_c {
-                let kbase = (oc * in_c + ic) * kh * kw;
-                for r in 0..kh {
-                    for c in 0..kw {
-                        let v = data[kbase + r * kw + c];
-                        if !is_zero(v) {
-                            taps.push(Tap {
-                                r: r as u16,
-                                c: c as u16,
-                                v: to_value(v),
-                            });
-                        }
-                    }
-                }
-                offsets.push(taps.len());
-            }
-        }
-        Ok(PackedTaps {
-            out_c,
-            in_c,
-            kh,
-            kw,
-            offsets,
-            taps,
-        })
-    }
-
     /// Output-channel count of the packed weights.
     pub fn out_c(&self) -> usize {
         self.out_c
@@ -143,54 +92,50 @@ impl PackedConv {
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for non-rank-4 weights and
-    /// [`TensorError::Invalid`] for kernels over 255 per spatial axis.
+    /// [`TensorError::Invalid`] for kernels over 65535 per spatial axis.
     pub fn pack(weights: &crate::Tensor) -> Result<PackedConv> {
-        PackedTaps::from_dense(weights.shape(), weights.as_slice(), |v| v == 0.0, |v| v)
-    }
-}
-
-/// Packed non-zero integer codes of a quantized conv weight tensor, with
-/// the tensor's scale carried alongside for the single rescale.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedQuantConv {
-    taps: PackedTaps<i64>,
-    scale: f32,
-}
-
-impl PackedQuantConv {
-    /// Packs the non-zero codes of quantized rank-4 weights.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PackedConv::pack`].
-    pub fn pack(weights: &QuantizedTensor) -> Result<PackedQuantConv> {
-        Ok(PackedQuantConv {
-            taps: PackedTaps::from_dense(
-                weights.shape(),
-                weights.codes(),
-                |v| v == 0,
-                |v| v as i64,
-            )?,
-            scale: weights.scale(),
+        let (shape, data) = (weights.shape(), weights.as_slice());
+        if shape.rank() != 4 {
+            return Err(TensorError::RankMismatch {
+                expected: 4,
+                actual: shape.rank(),
+            });
+        }
+        let (out_c, in_c, kh, kw) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
+        if kh > u16::MAX as usize || kw > u16::MAX as usize {
+            return Err(TensorError::Invalid(format!(
+                "cannot pack {kh}x{kw} kernels (max 65535 per axis)"
+            )));
+        }
+        let mut offsets = Vec::with_capacity(out_c * in_c + 1);
+        let mut taps = Vec::new();
+        offsets.push(0);
+        for oc in 0..out_c {
+            for ic in 0..in_c {
+                let kbase = (oc * in_c + ic) * kh * kw;
+                for r in 0..kh {
+                    for c in 0..kw {
+                        let v = data[kbase + r * kw + c];
+                        if v != 0.0 {
+                            taps.push(Tap {
+                                r: r as u16,
+                                c: c as u16,
+                                v,
+                            });
+                        }
+                    }
+                }
+                offsets.push(taps.len());
+            }
+        }
+        Ok(PackedTaps {
+            out_c,
+            in_c,
+            kh,
+            kw,
+            offsets,
+            taps,
         })
-    }
-
-    /// The weight-tensor scale captured at pack time.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// The underlying packed integer taps.
-    pub fn taps(&self) -> &PackedTaps<i64> {
-        &self.taps
-    }
-}
-
-impl std::ops::Deref for PackedQuantConv {
-    type Target = PackedTaps<i64>;
-
-    fn deref(&self) -> &PackedTaps<i64> {
-        &self.taps
     }
 }
 
@@ -222,17 +167,5 @@ mod tests {
     #[test]
     fn rejects_bad_weights() {
         assert!(PackedConv::pack(&Tensor::zeros(Shape::matrix(2, 2))).is_err());
-    }
-
-    #[test]
-    fn quantized_pack_keeps_codes_and_scale() {
-        let w = Tensor::from_vec(Shape::nchw(1, 1, 1, 3), vec![-0.5, 0.0, 0.5]).unwrap();
-        let q = QuantizedTensor::quantize(&w, 8).unwrap();
-        let p = PackedQuantConv::pack(&q).unwrap();
-        assert_eq!(p.scale(), q.scale());
-        assert_eq!(p.nonzeros(), 2);
-        let g = p.group(0, 0);
-        assert_eq!(g[0].v, q.codes()[0] as i64);
-        assert_eq!(g[1].v, q.codes()[2] as i64);
     }
 }

@@ -4,9 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use upaq_tensor::ops::{
-    avg_pool2d, avg_pool2d_batch, conv2d, conv2d_batch, conv2d_into, conv2d_packed_into, linear,
-    linear_batch, max_pool2d, max_pool2d_batch, quantized_conv2d, quantized_conv2d_batch,
-    quantized_linear, quantized_linear_batch, Conv2dParams, ExecMode, TensorParallel,
+    conv2d, conv2d_batch_into, conv2d_into, conv2d_packed_into, Conv2dParams, TensorParallel,
 };
 use upaq_tensor::packed::PackedConv;
 use upaq_tensor::quant::{fake_quantize, QuantizedTensor};
@@ -27,8 +25,7 @@ fn test_threads() -> usize {
 /// accumulation contract: per-`(oc, ic)` local sums over taps in kernel
 /// row-major order (zeros skipped), summed in `ic` order, bias joining
 /// last (and skipped entirely when zero). Every production conv path —
-/// dense, packed, pooled, spawned, batched — must reproduce its output
-/// bit for bit.
+/// dense, packed, pooled, batched — must reproduce its output bit for bit.
 fn naive_conv2d(
     input: &Tensor,
     weights: &Tensor,
@@ -108,6 +105,27 @@ fn masked_weights(oc: usize, ic: usize, k: usize, seed: u64) -> Tensor {
     KernelMask::from_positions(k, &positions)
         .apply_to_weights(&dense)
         .unwrap()
+}
+
+/// Runs [`conv2d_batch_into`] — the kernel `forward_batch_into` executes —
+/// into freshly allocated per-frame outputs.
+fn batched_conv(
+    inputs: &[&Tensor],
+    weights: &Tensor,
+    bias: Option<&Tensor>,
+    params: Conv2dParams,
+) -> Vec<Tensor> {
+    let (ishape, wshape) = (inputs[0].shape(), weights.shape());
+    let out = Shape::nchw(
+        1,
+        wshape.dim(0),
+        params.out_size(ishape.dim(2), wshape.dim(2)),
+        params.out_size(ishape.dim(3), wshape.dim(3)),
+    );
+    // NaN-filled: the kernel must write every element.
+    let mut outs = vec![Tensor::full(out, f32::NAN); inputs.len()];
+    conv2d_batch_into(inputs, weights, bias, params, &mut outs).unwrap();
+    outs
 }
 
 proptest! {
@@ -208,95 +226,9 @@ proptest! {
         let bias = Tensor::uniform(Shape::vector(oc), -0.3, 0.3, &mut rng);
         let params = Conv2dParams { stride, padding: pad };
         let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = conv2d_batch(&refs, &weights, Some(&bias), params).unwrap();
+        let batched = batched_conv(&refs, &weights, Some(&bias), params);
         for (got, x) in batched.iter().zip(&inputs) {
             let serial = conv2d(x, &weights, Some(&bias), params).unwrap();
-            prop_assert_eq!(got.as_slice(), serial.as_slice());
-        }
-    }
-
-    #[test]
-    fn batched_linear_matches_serial_loop(
-        n in 1usize..6,
-        in_f in 1usize..10,
-        out_f in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inputs: Vec<Tensor> = (0..n)
-            .map(|_| Tensor::uniform(Shape::vector(in_f), -2.0, 2.0, &mut rng))
-            .collect();
-        let weights = Tensor::uniform(Shape::matrix(out_f, in_f), -1.0, 1.0, &mut rng);
-        let bias = Tensor::uniform(Shape::vector(out_f), -0.5, 0.5, &mut rng);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = linear_batch(&refs, &weights, Some(&bias)).unwrap();
-        for (got, x) in batched.iter().zip(&inputs) {
-            let serial = linear(x, &weights, Some(&bias)).unwrap();
-            prop_assert_eq!(got.as_slice(), serial.as_slice());
-        }
-    }
-
-    #[test]
-    fn batched_pooling_matches_serial_loop(
-        n in 1usize..6,
-        c in 1usize..4,
-        h in 2usize..8,
-        w in 2usize..8,
-        k in 1usize..3,
-        stride in 1usize..3,
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(h >= k && w >= k);
-        let inputs = random_frames(n, c, h, w, seed);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let max_b = max_pool2d_batch(&refs, k, stride).unwrap();
-        let avg_b = avg_pool2d_batch(&refs, k, stride).unwrap();
-        for (i, x) in inputs.iter().enumerate() {
-            prop_assert_eq!(max_b[i].as_slice(), max_pool2d(x, k, stride).unwrap().as_slice());
-            prop_assert_eq!(avg_b[i].as_slice(), avg_pool2d(x, k, stride).unwrap().as_slice());
-        }
-    }
-
-    #[test]
-    fn batched_quantized_conv2d_matches_serial_loop(
-        n in 1usize..5,
-        ic in 1usize..3,
-        oc in 1usize..3,
-        h in 3usize..7,
-        w in 3usize..7,
-        wbits in 4u8..=8,
-        abits in 6u8..=12,
-        seed in any::<u64>(),
-    ) {
-        let inputs = random_frames(n, ic, h, w, seed);
-        let weights = QuantizedTensor::quantize(&masked_weights(oc, ic, 3, seed), wbits).unwrap();
-        let params = Conv2dParams::same(3);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = quantized_conv2d_batch(&refs, &weights, None, abits, params).unwrap();
-        for (got, x) in batched.iter().zip(&inputs) {
-            let serial = quantized_conv2d(x, &weights, None, abits, params).unwrap();
-            prop_assert_eq!(got.as_slice(), serial.as_slice());
-        }
-    }
-
-    #[test]
-    fn batched_quantized_linear_matches_serial_loop(
-        n in 1usize..5,
-        in_f in 1usize..9,
-        out_f in 1usize..5,
-        bits in 4u8..=10,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inputs: Vec<Tensor> = (0..n)
-            .map(|_| Tensor::uniform(Shape::vector(in_f), -2.0, 2.0, &mut rng))
-            .collect();
-        let wf = Tensor::uniform(Shape::matrix(out_f, in_f), -1.0, 1.0, &mut rng);
-        let weights = QuantizedTensor::quantize(&wf, bits).unwrap();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = quantized_linear_batch(&refs, &weights, None, bits).unwrap();
-        for (got, x) in batched.iter().zip(&inputs) {
-            let serial = quantized_linear(x, &weights, None, bits).unwrap();
             prop_assert_eq!(got.as_slice(), serial.as_slice());
         }
     }
@@ -318,19 +250,19 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Bit-identity regression suite: every production conv path (persistent
-// pool, spawn-per-call baseline, packed weights, batched frames,
-// quantized codes) must reproduce the serial naive oracle bit for bit.
+// pool, packed weights, batched frames) must reproduce the serial naive
+// oracle bit for bit.
 //
-// These tests mutate the process-wide `TensorParallel` settings. That is
-// safe even under cargo's parallel test threads because the property under
-// test *is* mode/thread-count independence: whatever combination another
+// These tests mutate the process-wide `TensorParallel` thread count. That
+// is safe even under cargo's parallel test threads because the property
+// under test *is* thread-count independence: whatever setting another
 // test leaves behind mid-leg, the output bits may not change. CI runs the
 // whole binary under `UPAQ_TEST_THREADS` 1 and 4 to pin both regimes.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #[test]
-    fn conv2d_bit_identical_across_modes_packing_and_threads(
+    fn conv2d_bit_identical_across_packing_and_threads(
         ic in 1usize..4,
         oc in 1usize..4,
         h in 3usize..8,
@@ -352,22 +284,18 @@ proptest! {
 
         for t in [1usize, threads] {
             TensorParallel::set_threads(t);
-            for mode in [ExecMode::Pool, ExecMode::SpawnPerCall] {
-                TensorParallel::set_exec_mode(mode);
 
-                let got = conv2d(&input, &weights, bias.as_ref(), params).unwrap();
-                prop_assert_eq!(&bits(&got), &oracle, "conv2d t={} mode={:?}", t, mode);
+            let got = conv2d(&input, &weights, bias.as_ref(), params).unwrap();
+            prop_assert_eq!(&bits(&got), &oracle, "conv2d t={}", t);
 
-                let mut out = Tensor::zeros(got.shape().clone());
-                conv2d_into(&input, &weights, bias.as_ref(), params, &mut out).unwrap();
-                prop_assert_eq!(&bits(&out), &oracle, "conv2d_into t={} mode={:?}", t, mode);
+            let mut out = Tensor::zeros(got.shape().clone());
+            conv2d_into(&input, &weights, bias.as_ref(), params, &mut out).unwrap();
+            prop_assert_eq!(&bits(&out), &oracle, "conv2d_into t={}", t);
 
-                out.as_mut_slice().fill(f32::NAN); // packed kernel must write every element
-                conv2d_packed_into(&input, &packed, bias.as_ref(), params, &mut out).unwrap();
-                prop_assert_eq!(&bits(&out), &oracle, "conv2d_packed_into t={} mode={:?}", t, mode);
-            }
+            out.as_mut_slice().fill(f32::NAN); // packed kernel must write every element
+            conv2d_packed_into(&input, &packed, bias.as_ref(), params, &mut out).unwrap();
+            prop_assert_eq!(&bits(&out), &oracle, "conv2d_packed_into t={}", t);
         }
-        TensorParallel::set_exec_mode(ExecMode::Pool);
         TensorParallel::set_threads(1);
     }
 
@@ -391,53 +319,11 @@ proptest! {
         for t in [1usize, test_threads()] {
             TensorParallel::set_threads(t);
             let refs: Vec<&Tensor> = inputs.iter().collect();
-            let batched = conv2d_batch(&refs, &weights, None, params).unwrap();
+            let batched = batched_conv(&refs, &weights, None, params);
             for (got, oracle) in batched.iter().zip(&oracles) {
-                prop_assert_eq!(&bits(got), oracle, "conv2d_batch t={}", t);
+                prop_assert_eq!(&bits(got), oracle, "conv2d_batch_into t={}", t);
             }
         }
-        TensorParallel::set_threads(1);
-    }
-
-    #[test]
-    fn quantized_conv2d_bit_identical_across_threads_and_modes(
-        n in 1usize..4,
-        ic in 1usize..3,
-        oc in 1usize..3,
-        h in 3usize..7,
-        w in 3usize..7,
-        wbits in 4u8..=8,
-        abits in 6u8..=12,
-        seed in any::<u64>(),
-    ) {
-        let inputs = random_frames(n, ic, h, w, seed);
-        let weights = QuantizedTensor::quantize(&masked_weights(oc, ic, 3, seed), wbits).unwrap();
-        let params = Conv2dParams::same(3);
-
-        // Serial pool execution is the reference for the quantized path —
-        // its arithmetic is pinned by the unit suite; here we pin that
-        // threads and exec mode cannot perturb it.
-        TensorParallel::set_threads(1);
-        TensorParallel::set_exec_mode(ExecMode::Pool);
-        let oracles: Vec<Vec<u32>> = inputs
-            .iter()
-            .map(|x| bits(&quantized_conv2d(x, &weights, None, abits, params).unwrap()))
-            .collect();
-
-        for t in [1usize, test_threads()] {
-            TensorParallel::set_threads(t);
-            for mode in [ExecMode::Pool, ExecMode::SpawnPerCall] {
-                TensorParallel::set_exec_mode(mode);
-                let refs: Vec<&Tensor> = inputs.iter().collect();
-                let batched = quantized_conv2d_batch(&refs, &weights, None, abits, params).unwrap();
-                for ((got, x), oracle) in batched.iter().zip(&inputs).zip(&oracles) {
-                    prop_assert_eq!(&bits(got), oracle, "quantized batch t={} mode={:?}", t, mode);
-                    let single = quantized_conv2d(x, &weights, None, abits, params).unwrap();
-                    prop_assert_eq!(&bits(&single), oracle, "quantized single t={} mode={:?}", t, mode);
-                }
-            }
-        }
-        TensorParallel::set_exec_mode(ExecMode::Pool);
         TensorParallel::set_threads(1);
     }
 }

@@ -28,9 +28,6 @@
 //! arrival rate from the named [`upaq_kitti::scenario`] catalog profile;
 //! `--policy proactive` layers complexity-aware rung steering (with VRU
 //! and deadline-headroom safety overrides) over realtime admission.
-//! `--sparse-act` runs the LiDAR backbone on the gather/scatter
-//! sparse-activation path (bit-identical to dense by construction; the
-//! report gains a `sparse_activation` per-layer telemetry section).
 //! `--faults PLAN` (realtime mode) poisons stream 0 with the named
 //! deterministic fault plan from the `upaq-kitti` catalog; the admission
 //! firewall and per-stream circuit breaker quarantine the poison while
@@ -53,7 +50,7 @@ use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::pretrain::{fit_camera_head, fit_lidar_head};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
-use upaq_runtime::{Pipeline, PipelineConfig, ProactiveConfig, SparseExecConfig, VariantLadder};
+use upaq_runtime::{Pipeline, PipelineConfig, ProactiveConfig, VariantLadder};
 use upaq_serve::{FleetConfig, FleetMode, FleetReport, FleetServer};
 
 const SEED: u64 = 2025;
@@ -69,7 +66,6 @@ struct Args {
     scenario: Option<String>,
     faults: Option<String>,
     threads: usize,
-    sparse_act: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -84,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
         scenario: None,
         faults: None,
         threads: 1,
-        sparse_act: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -105,7 +100,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => parsed.workers = positive("--workers")?,
             "--max-batch" => parsed.max_batch = positive("--max-batch")?,
             "--threads" => parsed.threads = positive("--threads")?,
-            "--sparse-act" => parsed.sparse_act = true,
             "--detector" => {
                 parsed.detector = args
                     .next()
@@ -246,23 +240,10 @@ fn run_fleet<D: StreamingDetector>(args: &Args, ladder: VariantLadder<D>, scenar
 where
     D::Input: SensorData,
 {
-    let mut doc: Vec<(String, Value)> = vec![(
-        "config".into(),
-        json!({
-            "streams": args.streams,
-            "frames_per_stream": args.frames,
-            "workers": args.workers,
-            "max_batch": args.max_batch,
-            "detector": args.detector,
-            "mode": args.mode,
-            "policy": args.policy,
-            "scenario": args.scenario,
-            "faults": args.faults,
-            "threads": args.threads,
-            "sparse_act": args.sparse_act,
-        }),
-    )];
+    let mut doc: Vec<(String, Value)> = Vec::new();
     let mut rows = Vec::new();
+    // The policy the server actually ran: saturate mode ignores `--policy`.
+    let policy;
 
     if args.mode == "realtime" {
         println!(
@@ -297,11 +278,11 @@ where
                 proactive: (args.policy == "proactive").then(ProactiveConfig::default),
                 faults: fault_plan,
                 fault_streams,
-                sparse_act: args.sparse_act.then(SparseExecConfig::default),
                 ..FleetConfig::default()
             },
         );
         let report = server.run().report;
+        policy = report.policy.clone();
         rows.push(summarize(
             "fleet (realtime)",
             report.delivered(),
@@ -371,11 +352,11 @@ where
                 workers: args.workers,
                 max_batch: args.max_batch,
                 mode: FleetMode::Saturate,
-                sparse_act: args.sparse_act.then(SparseExecConfig::default),
                 ..FleetConfig::default()
             },
         );
         let report = server.run().report;
+        policy = report.policy.clone();
         rows.push(summarize(
             "fleet (batched)",
             report.delivered(),
@@ -402,6 +383,24 @@ where
         }
         doc.push(("fleet".into(), report.to_json()));
     }
+    doc.insert(
+        0,
+        (
+            "config".into(),
+            json!({
+                "streams": args.streams,
+                "frames_per_stream": args.frames,
+                "workers": args.workers,
+                "max_batch": args.max_batch,
+                "detector": args.detector,
+                "mode": args.mode,
+                "policy": policy,
+                "scenario": args.scenario,
+                "faults": args.faults,
+                "threads": args.threads,
+            }),
+        ),
+    );
 
     println!("\nFleet summary:");
     print_table(
@@ -430,18 +429,11 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         format!(
             "{e}\nusage: fleet [--streams N] [--frames K] [--workers W] [--max-batch B] \
              [--detector lidar|camera] [--mode compare|realtime|saturate] \
-             [--policy reactive|proactive] [--scenario NAME] [--faults PLAN] [--threads N] \
-             [--sparse-act]"
+             [--policy reactive|proactive] [--scenario NAME] [--faults PLAN] [--threads N]"
         )
     })?;
     upaq_tensor::ops::TensorParallel::set_threads(args.threads);
     println!("Fleet serving: cross-stream batching over one shared worker pool");
-    if args.sparse_act {
-        println!(
-            "Sparse activation: gather/scatter backbone over active pillars \
-             (bit-identical to dense; camera streams run dense)"
-        );
-    }
 
     let device = DeviceProfile::jetson_orin_nano();
     let mut config = FleetScenarioConfig {

@@ -50,8 +50,7 @@ use upaq_models::pretrain::{fit_camera_head, fit_lidar_head};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
 use upaq_runtime::{
-    Pipeline, PipelineConfig, ProactiveConfig, RuntimeReport, SchedulerConfig, SparseExecConfig,
-    VariantLadder,
+    Pipeline, PipelineConfig, ProactiveConfig, RuntimeReport, SchedulerConfig, VariantLadder,
 };
 
 const SEED: u64 = 2025;
@@ -221,7 +220,6 @@ fn run_one<D: StreamingDetector>(
     reports.push(outcome.report);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_scenarios<D: StreamingDetector>(
     ladder: VariantLadder<D>,
     data_cfg: &DatasetConfig,
@@ -229,7 +227,6 @@ fn run_scenarios<D: StreamingDetector>(
     batch: usize,
     proactive: Option<ProactiveConfig>,
     faults: Option<FaultPlan>,
-    sparse_act: Option<SparseExecConfig>,
     reports: &mut Vec<RuntimeReport>,
 ) where
     D::Input: SensorData,
@@ -242,7 +239,6 @@ fn run_scenarios<D: StreamingDetector>(
         overload(frames, batch, proactive.clone()),
     ] {
         config.faults = faults.clone();
-        config.sparse_act = sparse_act;
         run_one(ladder.clone(), data_cfg, config, reports);
     }
 }
@@ -255,7 +251,6 @@ struct Args {
     scenario: Option<String>,
     faults: Option<String>,
     proactive: bool,
-    sparse_act: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -267,7 +262,6 @@ fn parse_args() -> Result<Args, String> {
         scenario: None,
         faults: None,
         proactive: false,
-        sparse_act: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -337,7 +331,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 parsed.faults = Some(name);
             }
-            "--sparse-act" => parsed.sparse_act = true,
             "--policy" => {
                 let policy = args
                     .next()
@@ -362,8 +355,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let args = parse_args().map_err(|e| {
         format!(
             "{e}\nusage: stream [--detector lidar|camera|both] [--frames N] [--batch K] \
-             [--threads N] [--policy reactive|proactive] [--scenario NAME] [--faults PLAN] \
-             [--sparse-act]"
+             [--threads N] [--policy reactive|proactive] [--scenario NAME] [--faults PLAN]"
         )
     })?;
     // Kernel-level parallelism: the persistent worker pool splits each
@@ -374,15 +366,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 
     let device = DeviceProfile::jetson_orin_nano();
     let proactive = args.proactive.then(ProactiveConfig::default);
-    // Sparse-activation backbone: gather/scatter conv over the
-    // pillarizer's active sites, bit-identical to dense by construction.
-    let sparse_cfg = args.sparse_act.then(SparseExecConfig::default);
-    if let Some(cfg) = &sparse_cfg {
-        println!(
-            "Sparse-activation backbone enabled (dense fallback above {:.0}% active).",
-            cfg.dense_threshold * 100.0
-        );
-    }
     let fault_plan = args
         .faults
         .as_deref()
@@ -419,7 +402,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             ladder.calibrate_heads(&data, 1e-3)?;
             let mut config = scenario_config(&profile, args.frames, args.batch, proactive.clone());
             config.faults = fault_plan.clone();
-            config.sparse_act = sparse_cfg;
             run_one(ladder, &profile.dataset, config, &mut reports);
         }
         if args.detector == "camera" || args.detector == "both" {
@@ -434,7 +416,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             ladder.calibrate_heads(&data, 1e-3)?;
             let mut config = scenario_config(&profile, args.frames, args.batch, proactive.clone());
             config.faults = fault_plan.clone();
-            config.sparse_act = sparse_cfg;
             run_one(ladder, &data_cfg, config, &mut reports);
         }
     } else {
@@ -451,7 +432,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 args.batch,
                 proactive.clone(),
                 fault_plan.clone(),
-                sparse_cfg,
                 &mut reports,
             );
         }
@@ -466,7 +446,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 args.batch,
                 proactive.clone(),
                 fault_plan.clone(),
-                sparse_cfg,
                 &mut reports,
             );
         }
